@@ -31,7 +31,6 @@ from .exactnum import (
     parse_surd,
     periodic_value,
     surd_compare,
-    surd_make,
 )
 from .halfplane import (
     ModularMatrix,
@@ -41,7 +40,6 @@ from .halfplane import (
     growth_capacity_direct,
     mobius_apply,
     reduce_to_fundamental,
-    shortest_vector,
     shortest_vector_sq,
     tangent_circle,
 )
@@ -50,7 +48,6 @@ from .markoff import (
     fibonacci,
     lagrange_spectrum,
     markoff_numbers,
-    markoff_numbers_brute,
     pell,
     spectrum_constants,
 )
@@ -76,7 +73,6 @@ __all__ = [
     "SurdParseError",
     "ContinuedFraction",
     "Convergent",
-    "surd_make",
     "surd_compare",
     "cf_expand",
     "convergents",
@@ -91,7 +87,6 @@ __all__ = [
     "TangentCircle",
     "mobius_apply",
     "reduce_to_fundamental",
-    "shortest_vector",
     "shortest_vector_sq",
     "growth_capacity",
     "growth_capacity_direct",
@@ -112,7 +107,6 @@ __all__ = [
     "closed_form_g",
     "SpectrumEntry",
     "markoff_numbers",
-    "markoff_numbers_brute",
     "lagrange_spectrum",
     "spectrum_constants",
     "fibonacci",

@@ -16,12 +16,11 @@ closed forms are reproduced here and used as oracles for the estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from mpmath import mp
 
-from .exactnum import Surd, cf_expand
+from .exactnum import Surd, _as_mpf, cf_expand
 from .profile import ProfilePiece, build_profile
 
 __all__ = [
@@ -36,14 +35,6 @@ __all__ = [
 class ClosedForm(NamedTuple):
     expr: str
     value: object  # mpf
-
-
-def _as_mpf(v):
-    if isinstance(v, Surd):
-        return v.to_mpf()
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / v.denominator
-    return mp.mpf(v)
 
 
 def piece_average(piece: ProfilePiece, t_lo, t_hi):

@@ -21,6 +21,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Optional
 
 from mpmath import mp
@@ -28,6 +29,7 @@ from mpmath import mp
 from .average import average_capacity_estimate, closed_form_g
 from .exactnum import (
     Surd,
+    _as_mpf,
     lagrange_number_estimate,
     parse_omega,
     parse_surd,
@@ -40,7 +42,7 @@ from .halfplane import (
     tangent_circle,
 )
 from .markoff import lagrange_spectrum, markoff_numbers
-from .profile import build_profile, hermite_convergents, local_minima
+from .profile import CapacityProfile, _profile_pieces, hermite_convergents, local_minima
 
 __all__ = ["RunConfig", "PackingReport", "main"]
 
@@ -67,6 +69,8 @@ class RunConfig:
             raise ValueError("precision must be at least 64 bits")
         if self.depth < 2:
             raise ValueError("depth must be at least 2")
+        if not (math.isfinite(self.t_max) and self.t_max > 0.5):
+            raise ValueError(f"t-max must be a finite number above 1/2, got {self.t_max}")
 
 
 @dataclass(frozen=True)
@@ -87,16 +91,6 @@ class PackingReport:
             "empirical_density": self.empirical_density,
             "samples": self.samples,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PackingReport":
-        return PackingReport(
-            x=d["x"],
-            y=d["y"],
-            analytic_density=d["analytic_density"],
-            empirical_density=d["empirical_density"],
-            samples=d["samples"],
-        )
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -186,13 +180,14 @@ def cmd_capacity(args, cfg: RunConfig) -> int:
 
 
 def _pretty_scalar(v) -> str:
-    if isinstance(v, Surd):
-        return f"{v.literal()} = {mp.nstr(v.to_mpf(), 17)}"
-    if isinstance(v, Fraction):
-        return f"{v} = {mp.nstr(mp.mpf(v.numerator) / v.denominator, 17)}"
     if isinstance(v, int):
         return str(v)
-    return mp.nstr(mp.mpf(v), 17)
+    value = mp.nstr(_as_mpf(v), 17)
+    if isinstance(v, Surd):
+        return f"{v.literal()} = {value}"
+    if isinstance(v, Fraction):
+        return f"{v} = {value}"
+    return value
 
 
 def _pretty_point(w: UpperHalfPoint) -> str:
@@ -203,30 +198,28 @@ def _pretty_point(w: UpperHalfPoint) -> str:
 
 
 def _profile_for_range(x: Surd, t_max: float):
-    """Profile with enough pieces that the last breakpoint clears t_max."""
+    """Profile with 8, 16, 32, ... pieces, the first whose last breakpoint clears t_max.
+
+    One lazy piece stream is extended; nothing is rebuilt.
+    """
     target = mp.mpf(t_max) ** 2
+    stream = _profile_pieces(x)
+    pieces = []
     n = 8
     while True:
-        prof = build_profile(x, n)
-        last = prof.pieces[-1].sq_end
-        if _sq_to_mpf(last) >= target:
-            return prof
+        pieces.extend(islice(stream, n - len(pieces)))
+        if _as_mpf(pieces[-1].sq_end) >= target:
+            return CapacityProfile(x=x, pieces=tuple(pieces))
         if n > 400:
             raise ValueError("t-max too large: profile would need over 400 pieces")
         n *= 2
-
-
-def _sq_to_mpf(sq):
-    if isinstance(sq, Surd):
-        return sq.to_mpf()
-    return mp.mpf(sq.numerator) / sq.denominator
 
 
 def _profile_rows(x: Surd, t_max: float, samples_per_piece: int = 16):
     """(t, f, piece_index, p, q, kind) rows: sky, samples, breakpoints, minima."""
     prof = _profile_for_range(x, t_max)
     rows = []
-    t_entry = mp.sqrt(_sq_to_mpf(prof.pieces[0].sq_start))
+    t_entry = mp.sqrt(_as_mpf(prof.pieces[0].sq_start))
     t_lo = mp.mpf("0.5")
 
     def log_grid(a, b, k):
@@ -239,8 +232,8 @@ def _profile_rows(x: Surd, t_max: float, samples_per_piece: int = 16):
         rows.append((t, t, None, None, None, "sky"))
     mins = local_minima(prof)
     for piece, (t0, fmin) in zip(prof.pieces, mins):
-        start = mp.sqrt(_sq_to_mpf(piece.sq_start))
-        end = mp.sqrt(_sq_to_mpf(piece.sq_end))
+        start = mp.sqrt(_as_mpf(piece.sq_start))
+        end = mp.sqrt(_as_mpf(piece.sq_end))
         if start > t_max:
             break
         end = min(end, mp.mpf(t_max))
@@ -278,8 +271,8 @@ def cmd_profile(args, cfg: RunConfig) -> int:
                         "q": piece.q,
                         "A": _scalar_json(piece.A),
                         "B": piece.B,
-                        "t_start": float(mp.sqrt(_sq_to_mpf(piece.sq_start))),
-                        "t_end": float(mp.sqrt(_sq_to_mpf(piece.sq_end))),
+                        "t_start": float(mp.sqrt(_as_mpf(piece.sq_start))),
+                        "t_end": float(mp.sqrt(_as_mpf(piece.sq_end))),
                         "min_t": _scalar_json(t0),
                         "min_f": _scalar_json(fmin),
                     }
@@ -296,12 +289,12 @@ def cmd_profile(args, cfg: RunConfig) -> int:
         prof, _ = _profile_rows(x, cfg.t_max)
         lines.append(f"profile of x = {x.literal()} up to t = {cfg.t_max}")
         for piece, (t0, fmin) in zip(prof.pieces, local_minima(prof)):
-            start = mp.sqrt(_sq_to_mpf(piece.sq_start))
+            start = mp.sqrt(_as_mpf(piece.sq_start))
             if start > cfg.t_max:
                 break
             lines.append(
                 f"  piece {piece.hermite_rank}: {piece.p}/{piece.q}"
-                f"  t in [{mp.nstr(start, 8)}, {mp.nstr(mp.sqrt(_sq_to_mpf(piece.sq_end)), 8)})"
+                f"  t in [{mp.nstr(start, 8)}, {mp.nstr(mp.sqrt(_as_mpf(piece.sq_end)), 8)})"
                 f"  min f = {mp.nstr(fmin.to_mpf(), 12)} at t = {mp.nstr(t0.to_mpf(), 8)}"
             )
     _emit("\n".join(lines) + "\n", cfg)
@@ -364,7 +357,7 @@ def _profile_svg(xs: list[Surd], t_max: float) -> str:
     )
 
     # dashed guide at the golden floor when one of the curves is phi-class
-    if any(lagrange_number_estimate(x, 30) == _SQRT5_GUIDE for x in xs):
+    if any(lagrange_number_estimate(x) == _SQRT5_GUIDE for x in xs):
         gf = 2 / math.sqrt(5)
         parts.append(
             f'<line x1="{_svg_num(ml)}" y1="{_svg_num(py(gf))}" x2="{_svg_num(width - mr)}" '
@@ -430,11 +423,10 @@ def cmd_packing(args, cfg: RunConfig) -> int:
         raise ValueError("need samples >= 100")
     w = UpperHalfPoint(re_part, im_part)
     f = growth_capacity(w)
-    fm = f.to_mpf() if isinstance(f, Surd) else mp.mpf(f.numerator) / f.denominator if isinstance(f, Fraction) else mp.mpf(f)
-    analytic = float(mp.pi / 4 * fm)
+    analytic = float(mp.pi / 4 * _as_mpf(f))
 
     d_sq, _ = shortest_vector_sq(w)
-    d = float(mp.sqrt(_as_float_sq(d_sq)))
+    d = float(mp.sqrt(_as_mpf(d_sq)))
     xf, yf = (float(w.x if not isinstance(w.x, Surd) else w.x.to_mpf()),
               float(w.y if not isinstance(w.y, Surd) else w.y.to_mpf()))
     kmax = int(math.ceil(d / (2 * yf))) + 1
@@ -472,14 +464,6 @@ def cmd_packing(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _as_float_sq(d_sq):
-    if isinstance(d_sq, Surd):
-        return d_sq.to_mpf()
-    if isinstance(d_sq, Fraction):
-        return mp.mpf(d_sq.numerator) / d_sq.denominator
-    return mp.mpf(d_sq)
-
-
 def _literal_of(v) -> str:
     if isinstance(v, Surd):
         return v.literal()
@@ -499,7 +483,7 @@ def cmd_render_lattice(args, cfg: RunConfig) -> int:
     if rows < 1:
         raise ValueError("need rows >= 1")
     d_sq, _ = shortest_vector_sq(w)
-    d = float(mp.sqrt(_as_float_sq(d_sq)))
+    d = float(mp.sqrt(_as_mpf(d_sq)))
     xf = float(w.x if not isinstance(w.x, Surd) else w.x.to_mpf())
     yf = float(w.y if not isinstance(w.y, Surd) else w.y.to_mpf())
 

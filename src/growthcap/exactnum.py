@@ -8,20 +8,24 @@ worse.  So this module keeps such numbers exact and does all ordering with
 integer arithmetic only.
 
 The continued-fraction half implements the classical (P + sqrt(D))/Q state
-machine for quadratic irrationals, detects the period by state repetition,
-and derives from it the approximation-quality numbers
+machine for quadratic irrationals as one walk, `_cf_states`, which yields the
+partial quotients and the states (`_cf_walk` adds the convergents); every
+CF function here reads it.  The approximation-quality numbers
 
     lambda_n(x) = q_{n-1}/q_n + [a_{n+1}; a_{n+2}, ...]
 
-whose supremum over n is the Lagrange number of x.  For a quadratic x the
-limiting lambda values along the period are themselves exact surds, computed
-from the matrix of one period word, so the Lagrange number comes out exact.
+have supremum L(x), the Lagrange number.  Along the period lambda_n tends to
+x_{n+1} - conj(x_{n+1}) = 2 sqrt(D)/Q_{n+1}, so L(x) is the max of 2 sqrt(D)/Q_n
+over the period's states (Perron, Die Lehre von den Kettenbruechen;
+Cusick-Flahive, The Markoff and Lagrange Spectra, ch. 1), an exact surd in
+x's own field read off the walk that finds the period.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd, isqrt
 
 from mpmath import mp
@@ -30,7 +34,6 @@ __all__ = [
     "Surd",
     "PHI",
     "PSI",
-    "surd_make",
     "surd_compare",
     "ContinuedFraction",
     "Convergent",
@@ -367,11 +370,6 @@ PHI = Surd(1, 1, 2, 5)  # golden ratio
 PSI = Surd(1, 1, 1, 2)  # silver ratio, 1 + sqrt(2)
 
 
-def surd_make(a: int, b: int, c: int, d: int) -> Surd:
-    """Build (a + b*sqrt(d))/c in canonical form."""
-    return Surd(a, b, c, d)
-
-
 def surd_compare(x, y) -> int:
     """Exact -1/0/+1 ordering of two surds sharing a quadratic field.
 
@@ -381,6 +379,15 @@ def surd_compare(x, y) -> int:
     """
     x = x if isinstance(x, Surd) else Surd.from_rational(x)
     return x.compare(y)
+
+
+def _as_mpf(v):
+    """mpf value of a Surd, Fraction, int, float or mpf at the current precision."""
+    if isinstance(v, Surd):
+        return v.to_mpf()
+    if isinstance(v, Fraction):
+        return mp.mpf(v.numerator) / v.denominator
+    return mp.mpf(v)
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +437,76 @@ class Convergent:
         return f"{self.p}/{self.q}"
 
 
+def _require_irrational_surd(x) -> Surd:
+    if isinstance(x, (int, Fraction)):
+        raise ValueError("rational input: finite expansion")
+    if not isinstance(x, Surd):
+        raise TypeError(f"expected a Surd, got {type(x).__name__}")
+    if x.is_rational:
+        raise ValueError("rational input: finite expansion")
+    return x
+
+
 def _cf_state(x: Surd) -> tuple[int, int, int]:
-    """Initial (P, Q, D) with x = (P + sqrt(D))/Q and Q | D - P**2."""
-    D = x.b * x.b * x.d
-    if x.b > 0:
-        P, Q = x.a, x.c
-    else:
-        P, Q = -x.a, -x.c
-    if (D - P * P) % Q:
-        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
-    return P, Q, D
+    """Initial (P, Q, t) with x = (P + t*sqrt(x.d))/Q, t > 0 and Q | t*t*x.d - P**2."""
+    x = _require_irrational_surd(x)
+    t = abs(x.b)
+    P, Q = (x.a, x.c) if x.b > 0 else (-x.a, -x.c)
+    if (t * t * x.d - P * P) % Q:
+        P, Q, t = P * abs(Q), Q * abs(Q), t * abs(Q)
+    return P, Q, t
+
+
+def _cf_states(x: Surd):
+    """The continued-fraction step, written once: yields (a_n, P_n, Q_n), n = 0, 1, ...
+
+    x_n = (P_n + sqrt(D))/Q_n is the n-th complete quotient, with D = t*t*x.d
+    for the t of `_cf_state`, and a_n = floor(x_n).  The walk never ends;
+    callers take what they need.
+    """
+    P, Q, t = _cf_state(x)
+    D = t * t * x.d
+    s = isqrt(D)
+    while True:
+        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
+        yield a, P, Q
+        P = a * Q - P
+        Q = (D - P * P) // Q
+
+
+def _cf_walk(x: Surd):
+    """`_cf_states` with the convergents: yields (a_n, P_n, Q_n, p_n, q_n).
+
+    Kept apart from the states because p_n and q_n grow linearly in size
+    with n: carrying them would make the period search quadratic in the
+    period length.
+    """
+    p, q, p_prev, q_prev = 1, 0, 0, 1  # p_{-1}/q_{-1}, p_{-2}/q_{-2}
+    for a, P, Q in _cf_states(x):
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+        yield a, P, Q, p, q
+
+
+def _cf_period(x: Surd) -> tuple[list, list, int]:
+    """Walk to the first repeated state: (quotients, Q_n per step, start of the period).
+
+    The expansion is periodic (Lagrange), so some state (P, Q) recurs; state 0
+    is never matched, so a_0 always lands in the preperiod.
+    """
+    quotients: list[int] = []
+    Qs: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    for i, (a, P, Q) in enumerate(_cf_states(x)):
+        if i >= 1:
+            k = seen.get((P, Q))
+            if k is not None:
+                return quotients, Qs, k
+            seen[(P, Q)] = i
+        if i > CF_MAX_ITER:
+            raise RuntimeError("continued fraction failed to cycle within the iteration cap")
+        quotients.append(a)
+        Qs.append(Q)
 
 
 def cf_expand(x) -> ContinuedFraction:
@@ -450,30 +517,8 @@ def cf_expand(x) -> ContinuedFraction:
     always lands in the preperiod, so e.g. the golden ratio comes out as
     preperiod (1,), period (1,).
     """
-    if isinstance(x, (int, Fraction)):
-        raise ValueError("rational input: finite expansion")
-    if not isinstance(x, Surd):
-        raise TypeError(f"expected a Surd, got {type(x).__name__}")
-    if x.is_rational:
-        raise ValueError("rational input: finite expansion")
-
-    P, Q, D = _cf_state(x)
-    s = isqrt(D)
-    quotients: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    i = 0
-    while i <= CF_MAX_ITER:
-        if i >= 1:
-            k = seen.get((P, Q))
-            if k is not None:
-                return ContinuedFraction(tuple(quotients[:k]), tuple(quotients[k:]))
-            seen[(P, Q)] = i
-        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
-        quotients.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        i += 1
-    raise RuntimeError("continued fraction failed to cycle within the iteration cap")
+    quotients, _, k = _cf_period(x)
+    return ContinuedFraction(tuple(quotients[:k]), tuple(quotients[k:]))
 
 
 def convergents(cf: ContinuedFraction, N: int) -> list[Convergent]:
@@ -492,15 +537,8 @@ def convergents(cf: ContinuedFraction, N: int) -> list[Convergent]:
 
 def complete_quotient(x: Surd, n: int) -> Surd:
     """x_n = [a_n; a_{n+1}, ...], the n-th tail of the expansion (exact)."""
-    if isinstance(x, (int, Fraction)) or x.is_rational:
-        raise ValueError("rational input: finite expansion")
-    P, Q, D = _cf_state(x)
-    s = isqrt(D)
-    for _ in range(n):
-        a = (P + s) // Q if Q > 0 else (P + s + 1) // Q
-        P = a * Q - P
-        Q = (D - P * P) // Q
-    return Surd(P, 1, Q, D)
+    _, P, Q = next(islice(_cf_states(x), n, None))
+    return Surd(P, _cf_state(x)[2], Q, x.d)
 
 
 def lambda_n(x: Surd, n: int) -> Surd:
@@ -513,10 +551,10 @@ def lambda_n(x: Surd, n: int) -> Surd:
         raise ValueError("undefined for n=0")
     if n < 0:
         raise ValueError("need n >= 1")
-    cf = cf_expand(x)
-    cs = convergents(cf, n + 1)
-    tail = complete_quotient(x, n + 1)
-    return tail + Fraction(cs[n - 1].q, cs[n].q)
+    steps = list(islice(_cf_walk(x), n + 2))
+    q_prev, q = steps[n - 1][4], steps[n][4]
+    _, P, Q, _, _ = steps[n + 1]
+    return Surd(P, _cf_state(x)[2], Q, x.d) + Fraction(q_prev, q)
 
 
 def periodic_value(word) -> Surd:
@@ -535,28 +573,20 @@ def periodic_value(word) -> Surd:
     return Surd(m00 - m11, 1, 2 * m10, disc)
 
 
-def lagrange_number_estimate(x: Surd, depth: int = 50) -> Surd:
+def lagrange_number_estimate(x: Surd) -> Surd:
     """The Lagrange number L(x) = limsup_n lambda_n(x), exact.
 
-    For quadratic x the sequence lambda_n settles into a limit cycle indexed
-    by the rotations of the CF period: the tail [a_{n+1}; ...] tends to the
-    purely periodic value of the rotated word, and q_{n-1}/q_n tends to the
-    reciprocal of the reversed word's value.  The supremum is the max of
-    those finitely many exact surds; finite-depth maxima converge to it
-    (`depth` is kept as the stabilization knob for that cross-check and for
-    API symmetry — the returned value is already the limit).
+    Along the period lambda_n tends to x_{n+1} - conj(x_{n+1}) = 2 sqrt(D)/Q_{n+1}
+    (the conjugate of a reduced complete quotient is minus the reciprocal of
+    the reversed tail [0; a_n, a_{n-1}, ...], Galois), so L is the max of
+    2 sqrt(D)/Q_n over the period's states: Perron, Die Lehre von den
+    Kettenbruechen; Cusick-Flahive, The Markoff and Lagrange Spectra, ch. 1.
+    Every periodic state is reduced, so Q_n > 0 and the max sits at the
+    least Q_n.  With D = t*t*x.d the result is 2t sqrt(x.d)/Q_n, a surd in
+    x's own field: nothing is factored.
     """
-    if depth < 1:
-        raise ValueError("need depth >= 1")
-    cf = cf_expand(x)
-    word = cf.period
-    best = None
-    for j in range(len(word)):
-        rot = word[j:] + word[:j]
-        lam = periodic_value(rot) + periodic_value(tuple(reversed(rot))).inverse()
-        if best is None or lam > best:
-            best = lam
-    return best
+    _, Qs, k = _cf_period(x)
+    return Surd(0, 2 * _cf_state(x)[2], min(Qs[k:]), x.d)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .exactnum import Surd
+from .exactnum import Surd, _as_mpf
 
 __all__ = [
     "ModularMatrix",
@@ -34,7 +34,6 @@ __all__ = [
     "TangentCircle",
     "mobius_apply",
     "reduce_to_fundamental",
-    "shortest_vector",
     "shortest_vector_sq",
     "growth_capacity",
     "growth_capacity_direct",
@@ -114,14 +113,6 @@ class ModularMatrix:
 
 def _is_exact(v) -> bool:
     return isinstance(v, _EXACT_TYPES)
-
-
-def _as_mpf(v):
-    if isinstance(v, Surd):
-        return v.to_mpf()
-    if isinstance(v, Fraction):
-        return mp.mpf(v.numerator) / v.denominator
-    return mp.mpf(v)
 
 
 def _nearest_int(v) -> int:
@@ -264,12 +255,6 @@ def shortest_vector_sq(w: UpperHalfPoint):
     else:
         raise RuntimeError("lattice reduction did not terminate")
     return qu, u
-
-
-def shortest_vector(w: UpperHalfPoint):
-    """(d, witness): length of a shortest nonzero lattice vector (d as mpf)."""
-    qu, u = shortest_vector_sq(w)
-    return mp.sqrt(_as_mpf(qu)), u
 
 
 def growth_capacity(w: UpperHalfPoint):

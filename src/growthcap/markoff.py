@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import isqrt
 
 from .exactnum import PHI, PSI, Surd
 
@@ -52,36 +51,6 @@ def markoff_numbers(limit: int) -> list[int]:
             if child not in seen and child[2] <= limit:
                 queue.append(child)
     return sorted(found)
-
-
-def markoff_numbers_brute(limit: int) -> list[int]:
-    """Independent oracle: scan pairs (b, c) and solve the quadratic for a.
-
-    c is a Markoff number iff some b <= c completes a triple, i.e. the
-    discriminant 9 b^2 c^2 - 4 (b^2 + c^2) is a perfect square and the root
-    a = (3bc - sqrt(disc))/2 is a positive integer <= b.  Quadratic in the
-    limit, fine for limit ~ a few thousand.
-    """
-    if limit < 1:
-        raise ValueError("need limit >= 1")
-    out = []
-    for c in range(1, limit + 1):
-        hit = False
-        for b in range(1, c + 1):
-            disc = 9 * b * b * c * c - 4 * (b * b + c * c)
-            if disc < 0:
-                continue
-            s = isqrt(disc)
-            if s * s != disc:
-                continue
-            if (3 * b * c - s) % 2 == 0:
-                a = (3 * b * c - s) // 2
-                if 1 <= a <= b:
-                    hit = True
-                    break
-        if hit:
-            out.append(c)
-    return out
 
 
 @dataclass(frozen=True)

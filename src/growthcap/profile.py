@@ -34,14 +34,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from mpmath import mp
 
 from .exactnum import (
     Surd,
-    cf_expand,
-    convergents,
+    _as_mpf,
+    _cf_walk,
+    _require_irrational_surd,
     lagrange_number_estimate,
 )
 from .halfplane import ModularMatrix, UpperHalfPoint, reduce_to_fundamental
@@ -60,16 +62,6 @@ __all__ = [
 
 _ADJACENT_STEPS = (ModularMatrix.T(1), ModularMatrix.T(-1), ModularMatrix.S())
 _MAX_SPLIT_DEPTH = 80
-
-
-def _require_irrational_surd(x) -> Surd:
-    if isinstance(x, (int, Fraction)):
-        raise ValueError("rational input: finite expansion")
-    if not isinstance(x, Surd):
-        raise TypeError(f"expected a Surd, got {type(x).__name__}")
-    if x.is_rational:
-        raise ValueError("rational input: finite expansion")
-    return x
 
 
 @dataclass(frozen=True)
@@ -102,14 +94,26 @@ def humbert_is_hermite(x: Surd, p: int, q: int) -> bool:
     return u * (2 * (q * q + q * qp + qp * qp)) < q * (q + 2 * qp)
 
 
+def _hermite_stream(x: Surd, steps):
+    """Hermite convergents among the CF walk `steps` of x, lazily, in order.
+
+    Each classical convergent goes through the Humbert test exactly once.
+    An endless walk never runs dry: of two consecutive convergents one has
+    |x - p/q| < 1/(2 q^2) < 1/(sqrt(3) q^2) (Legendre, Vahlen).
+    """
+    rank = 0
+    for n, (_, _, _, p, q) in enumerate(steps):
+        if humbert_is_hermite(x, p, q):
+            yield HermiteConvergent(n, p, q, rank)
+            rank += 1
+
+
 def hermite_convergents(x: Surd, N: int) -> list[HermiteConvergent]:
     """Filter the first N classical convergents through the Humbert test."""
     x = _require_irrational_surd(x)
-    out = []
-    for c in convergents(cf_expand(x), N):
-        if humbert_is_hermite(x, c.p, c.q):
-            out.append(HermiteConvergent(c.n, c.p, c.q, len(out)))
-    return out
+    if N < 1:
+        raise ValueError("need N >= 1")
+    return list(_hermite_stream(x, islice(_cf_walk(x), N)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +240,19 @@ class CapacityProfile:
         else:
             tsq = mp.mpf(t) ** 2
             exact = False
-        if (tsq <= self.sky_sq) if exact else (tsq <= _sq_mpf(self.sky_sq)):
+        if (tsq <= self.sky_sq) if exact else (tsq <= _as_mpf(self.sky_sq)):
             return None
         lo, hi = 0, len(self.pieces) - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
             start = self.pieces[mid].sq_start
-            if (tsq >= start) if exact else (tsq >= _sq_mpf(start)):
+            if (tsq >= start) if exact else (tsq >= _as_mpf(start)):
                 lo = mid
             else:
                 hi = mid - 1
         piece = self.pieces[lo]
         end = piece.sq_end
-        if (tsq >= end) if exact else (tsq >= _sq_mpf(end)):
+        if (tsq >= end) if exact else (tsq >= _as_mpf(end)):
             raise ValueError("t beyond the computed profile; rebuild with larger N")
         return piece
 
@@ -270,72 +274,49 @@ class CapacityProfile:
         """Exact squared breakpoints t_r^2, r = 1 .. N-1 (piece r entry)."""
         return [p.sq_start for p in self.pieces[1:]]
 
-    def breakpoints_mpf(self):
-        return [mp.sqrt(_sq_mpf(p.sq_start)) for p in self.pieces[1:]]
-
     def minima(self):
         """Exact (t0, fmin) per piece — see `local_minima`."""
         return local_minima(self)
 
 
-def _sq_mpf(v):
-    return v.to_mpf() if isinstance(v, Surd) else mp.mpf(v.numerator) / v.denominator
+def _profile_pieces(x: Surd):
+    """The pieces of the profile of x, lazily and in order.
 
-
-def _hermite_scan(x: Surd, want: int) -> list[HermiteConvergent]:
-    """First `want` Hermite convergents, scanning as many classical as needed."""
-    n = max(2 * want + 12, 24)
-    while True:
-        hs = hermite_convergents(x, n)
-        if len(hs) >= want:
-            return hs[:want]
-        if n > 4000:
-            raise RuntimeError("could not collect enough Hermite convergents")
-        n *= 2
+    Piece r comes out once Hermite convergent r+1 is known, since its end is
+    the next piece's entry.  Breakpoints are the exact squares
+    (B_r - B_{r-1}) / (A_{r-1} - A_r); the entry point of piece 0 solves
+    A_0 t + B_0/t = t against the sky piece f = t, i.e. t^2 = B_0 / (1 - A_0).
+    Consecutive convergents are checked to be unimodular and the squares to
+    increase strictly, pair by pair.
+    """
+    x = _require_irrational_surd(x)
+    hs = _hermite_stream(x, _cf_walk(x))
+    h = next(hs)
+    e = h.q * x - h.p
+    A, B = e * e, h.q * h.q
+    sq = B / (1 - A)
+    for h1 in hs:
+        if abs(h1.p * h.q - h.p * h1.q) != 1:
+            raise RuntimeError("consecutive Hermite convergents are not unimodular")
+        e = h1.q * x - h1.p
+        A1, B1 = e * e, h1.q * h1.q
+        sq1 = (B1 - B) / (A - A1)
+        if not sq < sq1:
+            raise RuntimeError("profile breakpoints are not strictly increasing")
+        yield ProfilePiece(h.hermite_rank, h.n, h.p, h.q, A, B, sq, sq1)
+        h, A, B, sq = h1, A1, B1, sq1
 
 
 def build_profile(x: Surd, N: int) -> CapacityProfile:
     """Profile from the first N Hermite convergents (breakpoints need N+1).
 
-    Breakpoints are the exact squares (B_r - B_{r-1}) / (A_{r-1} - A_r); the
-    entry point of piece 0 solves A_0 t + B_0/t = t against the sky piece
-    f = t, i.e. t^2 = B_0 / (1 - A_0).  Pieces join continuously and the
-    squares increase strictly, both checked exactly during construction.
+    Pieces join continuously and their breakpoints increase strictly, both
+    checked exactly during construction (see `_profile_pieces`).
     """
     x = _require_irrational_surd(x)
     if N < 2:
         raise ValueError("need N >= 2 pieces (breakpoints require consecutive pairs)")
-    hs = _hermite_scan(x, N + 1)
-
-    errs = [abs(h.q * x - h.p) for h in hs]
-    A = [e * e for e in errs]
-    B = [h.q * h.q for h in hs]
-
-    for h0, h1 in zip(hs, hs[1:]):
-        if abs(h1.p * h0.q - h0.p * h1.q) != 1:
-            raise RuntimeError("consecutive Hermite convergents are not unimodular")
-
-    sq = [B[0] / (1 - A[0])]
-    for r in range(1, N + 1):
-        sq.append((B[r] - B[r - 1]) / (A[r - 1] - A[r]))
-    for lo, hi in zip(sq, sq[1:]):
-        if not lo < hi:
-            raise RuntimeError("profile breakpoints are not strictly increasing")
-
-    pieces = []
-    for r in range(N):
-        piece = ProfilePiece(
-            hermite_rank=r,
-            n=hs[r].n,
-            p=hs[r].p,
-            q=hs[r].q,
-            A=A[r],
-            B=B[r],
-            sq_start=sq[r],
-            sq_end=sq[r + 1],
-        )
-        pieces.append(piece)
-    return CapacityProfile(x=x, pieces=tuple(pieces))
+    return CapacityProfile(x=x, pieces=tuple(islice(_profile_pieces(x), N)))
 
 
 def local_minima(profile: CapacityProfile) -> list[tuple[Surd, Surd]]:
@@ -353,7 +334,7 @@ def local_minima(profile: CapacityProfile) -> list[tuple[Surd, Surd]]:
     return out
 
 
-def sup_of_minima(x: Surd, depth: int = 30) -> Surd:
+def sup_of_minima(x: Surd) -> Surd:
     """The stabilized floor of the Hermite piece minima: exactly 2/L(x).
 
     The minima 2/lambda_n(x) settle into a limit cycle; their asymptotic
@@ -362,11 +343,7 @@ def sup_of_minima(x: Surd, depth: int = 30) -> Surd:
     Lagrange number, returned here as an exact surd.  Early pieces can sit
     above this floor (for the golden ratio the 3/2 piece bottoms out at
     4/phi^3 ~ 0.944), which is why the transient must be discarded rather
-    than maximized over; `depth` bounds the tail window used by the finite
-    cross-check in the tests.
+    than maximized over.
     """
     x = _require_irrational_surd(x)
-    if depth < 1:
-        raise ValueError("need depth >= 1")
-    L = lagrange_number_estimate(x, depth)
-    return 2 * L.inverse()
+    return 2 * lagrange_number_estimate(x).inverse()

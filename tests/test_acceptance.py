@@ -68,7 +68,7 @@ def _run_cli(argv):
 
 def test_criterion_01_golden_ratio_supremum():
     t0 = time.perf_counter()
-    golden = sup_of_minima(PHI, 30)
+    golden = sup_of_minima(PHI)
     elapsed_phi = time.perf_counter() - t0
     assert golden == Surd(0, 2, 5, 5)  # literally 2/sqrt(5)
     assert abs(float(golden) - 2 / math.sqrt(5)) <= 1e-12
@@ -77,7 +77,7 @@ def test_criterion_01_golden_ratio_supremum():
     others = {}
     for name in ("sqrt2m1", "sqrt3m1", "sqrt7m1", "psi"):
         t0 = time.perf_counter()
-        s = sup_of_minima(NAMED_X[name], 30)
+        s = sup_of_minima(NAMED_X[name])
         elapsed = time.perf_counter() - t0
         assert float(s) <= TWO_OVER_SQRT8 + 1e-12, name
         assert elapsed < 1.0, name

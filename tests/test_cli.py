@@ -128,6 +128,19 @@ def test_profile_out_file(tmp_path):
     assert dest.read_text().startswith("# schema=v1")
 
 
+@pytest.mark.parametrize("t_max", ["-5", "0", "0.1", "0.5", "nan", "inf"])
+def test_profile_rejects_bad_t_max(t_max):
+    for fmt in ("text", "csv", "json", "svg"):
+        r = subprocess.run(
+            CLI + ["profile", "--x", "phi", "--t-max", t_max, "--format", fmt],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 1, fmt
+        assert r.stdout == "", fmt
+        assert r.stderr.startswith("error:") and r.stderr.count("\n") == 1, fmt
+        assert "t-max must be" in r.stderr, fmt
+
+
 def test_profile_json_round_trip():
     r = run("profile", "--x", "phi", "--format", "json", "--t-max", "30")
     obj = json.loads(r.stdout)

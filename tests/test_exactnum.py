@@ -1,6 +1,8 @@
 """Exact quadratic arithmetic, continued fractions, and the literal parser."""
 
+import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,6 @@ from growthcap import (
     parse_surd,
     periodic_value,
     surd_compare,
-    surd_make,
 )
 
 from conftest import NAMED_X
@@ -196,7 +197,7 @@ def test_hash_consistency():
 
 
 def test_surd_make_and_mixed_ops():
-    x = surd_make(1, 1, 2, 5)
+    x = Surd(1, 1, 2, 5)
     assert x == PHI
     assert x + 1 == Surd(3, 1, 2, 5)
     assert 2 * x == Surd(1, 1, 1, 5)
@@ -352,3 +353,57 @@ def test_lagrange_number_is_the_limsup_of_lambdas():
         L = lagrange_number_estimate(x).to_mpf()
         window_max = max(lambda_n(x, n).to_mpf() for n in range(40, 50))
         assert abs(window_max - L) < mp.mpf("1e-12")
+
+
+def _lagrange_by_rotations(x):
+    """Reference L: max over the period's rotations of [rot] + 1/[reversed rot]."""
+    word = cf_expand(x).period
+    best = None
+    for j in range(len(word)):
+        rot = word[j:] + word[:j]
+        lam = periodic_value(rot) + periodic_value(tuple(reversed(rot))).inverse()
+        if best is None or lam > best:
+            best = lam
+    return best
+
+
+def test_lagrange_from_states_matches_rotation_formula():
+    rng = random.Random(20261018)
+    xs = []
+    while len(xs) < 210:
+        x = Surd(
+            rng.randint(-40, 40),
+            rng.choice((-1, 1)) * rng.randint(1, 4),
+            rng.randint(1, 12),
+            rng.randint(2, 300),
+        )
+        if not x.is_rational and len(cf_expand(x).period) <= 60:
+            xs.append(x)
+    assert any(x.b < 0 for x in xs) and any(x.c > 1 for x in xs)
+    for x in xs:
+        assert lagrange_number_estimate(x) == _lagrange_by_rotations(x), x
+
+
+def _periodic_mpf(word):
+    m00, m01, m10, m11 = 1, 0, 0, 1
+    for a in word:
+        m00, m01, m10, m11 = m00 * a + m01, m00, m10 * a + m11, m10
+    return (m00 - m11 + mp.sqrt((m00 - m11) ** 2 + 4 * m01 * m10)) / (2 * m10)
+
+
+def test_lagrange_long_period_needs_no_factoring(monkeypatch):
+    # sqrt(1000003) has period 458; the rotation formula would factor
+    # radicands of hundreds of digits, which needs sympy
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    x = Surd(0, 1, 1, 1000003)
+    t0 = time.perf_counter()
+    L = lagrange_number_estimate(x)
+    assert time.perf_counter() - t0 < 2.0
+    assert L.d == 1000003
+    word = cf_expand(x).period
+    assert len(word) == 458
+    want = max(
+        _periodic_mpf(word[j:] + word[:j]) + 1 / _periodic_mpf(tuple(reversed(word[j:] + word[:j])))
+        for j in range(len(word))
+    )
+    assert abs(L.to_mpf() - want) < mp.mpf("1e-30")

@@ -2,6 +2,7 @@
 
 from collections import deque
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from mpmath import mp
@@ -14,10 +15,40 @@ from growthcap import (
     lagrange_number_estimate,
     lagrange_spectrum,
     markoff_numbers,
-    markoff_numbers_brute,
     pell,
     spectrum_constants,
 )
+
+
+def markoff_numbers_brute(limit: int) -> list[int]:
+    """Independent oracle: scan pairs (b, c) and solve the quadratic for a.
+
+    c is a Markoff number iff some b <= c completes a triple, i.e. the
+    discriminant 9 b^2 c^2 - 4 (b^2 + c^2) is a perfect square and the root
+    a = (3bc - sqrt(disc))/2 is a positive integer <= b.  Quadratic in the
+    limit, fine for limit ~ a few thousand.
+    """
+    if limit < 1:
+        raise ValueError("need limit >= 1")
+    out = []
+    for c in range(1, limit + 1):
+        hit = False
+        for b in range(1, c + 1):
+            disc = 9 * b * b * c * c - 4 * (b * b + c * c)
+            if disc < 0:
+                continue
+            s = isqrt(disc)
+            if s * s != disc:
+                continue
+            if (3 * b * c - s) % 2 == 0:
+                a = (3 * b * c - s) // 2
+                if 1 <= a <= b:
+                    hit = True
+                    break
+        if hit:
+            out.append(c)
+    return out
+
 
 PINNED_1500 = [1, 2, 5, 13, 29, 34, 89, 169, 194, 233, 433, 610, 985, 1325]
 

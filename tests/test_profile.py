@@ -228,17 +228,17 @@ def test_phi_minima_closed_form():
 
 
 def test_sup_of_minima_exact_values():
-    assert sup_of_minima(PHI, 30) == Surd(0, 2, 5, 5)
-    assert sup_of_minima(PSI, 30) == Surd(0, 1, 2, 2)
-    assert sup_of_minima(Surd(-1, 1, 1, 2), 30) == Surd(0, 1, 2, 2)
-    assert sup_of_minima(Surd(-1, 1, 1, 3), 30) == Surd(0, 1, 3, 3)
-    assert sup_of_minima(Surd(11, 1, 10, 221), 30) == Surd(0, 10, 221, 221)
+    assert sup_of_minima(PHI) == Surd(0, 2, 5, 5)
+    assert sup_of_minima(PSI) == Surd(0, 1, 2, 2)
+    assert sup_of_minima(Surd(-1, 1, 1, 2)) == Surd(0, 1, 2, 2)
+    assert sup_of_minima(Surd(-1, 1, 1, 3)) == Surd(0, 1, 3, 3)
+    assert sup_of_minima(Surd(11, 1, 10, 221)) == Surd(0, 10, 221, 221)
 
 
 def test_sup_of_minima_is_two_over_lagrange(named_x):
     for x in named_x.values():
         L = lagrange_number_estimate(x)
-        assert sup_of_minima(x, 30) * L == 2
+        assert sup_of_minima(x) * L == 2
 
 
 # -- golden-ratio breakpoint asymptotics ------------------------------------------------
@@ -266,3 +266,26 @@ def test_phi_breakpoint_sums_approach_even_powers():
         ratio = (ts[r + 1] ** 2 - ts[r] ** 2) / (ts[r + 1] - ts[r]) / phi ** (2 * (r + 2))
         assert abs(ratio - 1) < 0.01
     assert abs((ts[15] + ts[14]) / phi ** 32 - 1) < 0.01
+
+
+# -- the lazy Hermite stream ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("N", [2, 10, 40])
+def test_build_profile_tests_each_convergent_once(named_x, monkeypatch, N):
+    import growthcap.profile as profile_mod
+
+    for x in named_x.values():
+        hermite = hermite_convergents(x, 4 * N + 24)
+        last = hermite[N].n  # classical index of the (N+1)-th Hermite convergent
+        calls = []
+
+        def counting(x_, p, q, _real=humbert_is_hermite):
+            calls.append((p, q))
+            return _real(x_, p, q)
+
+        monkeypatch.setattr(profile_mod, "humbert_is_hermite", counting)
+        prof = build_profile(x, N)
+        monkeypatch.undo()
+        assert len(prof.pieces) == N
+        assert calls == [(c.p, c.q) for c in convergents(cf_expand(x), last + 1)]
